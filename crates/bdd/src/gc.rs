@@ -17,8 +17,7 @@
 //! element-translation cache, the engine layer adds formula caches and
 //! prepared-query roots) and must remap every handle they keep.
 
-use std::collections::HashMap;
-
+use crate::fxhash::FxHashMap;
 use crate::manager::{Bdd, Manager, Node};
 
 /// Sentinel for "this node did not survive the sweep".
@@ -143,7 +142,7 @@ impl Manager {
                 stack.push((node.high.0, false));
             }
         }
-        let mut unique = HashMap::with_capacity(new_nodes.len());
+        let mut unique = FxHashMap::with_capacity_and_hasher(new_nodes.len(), Default::default());
         for (i, n) in new_nodes.iter().enumerate().skip(2) {
             let prev = unique.insert((n.var.0, n.low.0, n.high.0), i as u32);
             debug_assert!(prev.is_none(), "duplicate node survived the sweep");

@@ -70,6 +70,7 @@
 
 mod audit;
 mod dot;
+mod fxhash;
 mod gc;
 mod import;
 mod manager;

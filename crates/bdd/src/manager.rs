@@ -1,7 +1,8 @@
 //! The BDD manager: node arena, unique table and operation caches.
 
-use std::collections::HashMap;
 use std::fmt;
+
+use crate::fxhash::FxHashMap;
 
 /// A BDD variable, identified by a stable numeric id.
 ///
@@ -113,6 +114,14 @@ pub(crate) enum Op {
 /// [`Manager::clear_caches`] can be used to drop memoisation tables (but
 /// not nodes) between phases.
 ///
+/// The unique table and the `apply`, `ite` and negation caches hash their
+/// keys with a small in-tree multiply-rotate hasher in the style of
+/// FxHash instead of the standard library's SipHash, which costs more
+/// than the table lookup it serves. SipHash guards a map against keys
+/// chosen to collide; these keys are node ids, variable ids and operation
+/// tags that the manager assigns itself, never raw input, so that guard
+/// buys nothing here.
+///
 /// # Panics
 ///
 /// All operations panic if the arena would exceed the configured node limit
@@ -133,10 +142,10 @@ pub(crate) enum Op {
 #[derive(Debug, Clone)]
 pub struct Manager {
     pub(crate) nodes: Vec<Node>,
-    pub(crate) unique: HashMap<(u32, u32, u32), u32>,
-    pub(crate) op_cache: HashMap<(Op, u32, u32), u32>,
-    pub(crate) ite_cache: HashMap<(u32, u32, u32), u32>,
-    pub(crate) not_cache: HashMap<u32, u32>,
+    pub(crate) unique: FxHashMap<(u32, u32, u32), u32>,
+    pub(crate) op_cache: FxHashMap<(Op, u32, u32), u32>,
+    pub(crate) ite_cache: FxHashMap<(u32, u32, u32), u32>,
+    pub(crate) not_cache: FxHashMap<u32, u32>,
     num_vars: u32,
     node_limit: usize,
     /// variable id -> current level (index by `Var::index`).
@@ -174,10 +183,10 @@ impl Manager {
         };
         Manager {
             nodes: vec![terminal(0), terminal(1)],
-            unique: HashMap::new(),
-            op_cache: HashMap::new(),
-            ite_cache: HashMap::new(),
-            not_cache: HashMap::new(),
+            unique: FxHashMap::default(),
+            op_cache: FxHashMap::default(),
+            ite_cache: FxHashMap::default(),
+            not_cache: FxHashMap::default(),
             num_vars,
             node_limit: Self::DEFAULT_NODE_LIMIT,
             var2level: (0..num_vars).collect(),

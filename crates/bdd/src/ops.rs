@@ -181,7 +181,34 @@ impl Manager {
     }
 
     /// Conjunction of all operands (`⊤` for an empty iterator).
+    ///
+    /// The operands are folded **deepest first**: stably sorted by the
+    /// level of their root, bottom of the order first (see
+    /// [`Manager::sort_deepest_first`]). Conjunction is associative and
+    /// commutative and the diagrams are canonical, so the result is the
+    /// same handle as any other fold order; only the cost differs. When
+    /// the operands have disjoint, level-separated supports — the cones
+    /// of a fault tree's independent modules under a DFS order — the
+    /// accumulator always sits below the next operand, and `f ∧ acc`
+    /// copies `f` once with `acc` hung at its `⊤` leaf. The whole fold
+    /// is then linear in the size of the result. A fold in the caller's
+    /// order would put each new operand *below* the accumulator and copy
+    /// the whole accumulator at every step: quadratic, with every copy
+    /// but the last left dead in the arena.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use bfl_bdd::{Manager, Var};
+    /// let mut m = Manager::new(3);
+    /// let (a, b, c) = (m.var(Var(0)), m.var(Var(1)), m.var(Var(2)));
+    /// let all = m.and_all([a, b, c]);
+    /// let ab = m.and(a, b);
+    /// assert_eq!(all, m.and(ab, c)); // same handle as a left fold
+    /// ```
     pub fn and_all<I: IntoIterator<Item = Bdd>>(&mut self, fs: I) -> Bdd {
+        let mut fs: Vec<Bdd> = fs.into_iter().collect();
+        self.sort_deepest_first(&mut fs);
         let mut acc = self.top();
         for f in fs {
             acc = self.and(acc, f);
@@ -190,12 +217,29 @@ impl Manager {
     }
 
     /// Disjunction of all operands (`⊥` for an empty iterator).
+    ///
+    /// Folds deepest first, exactly as [`Manager::and_all`]: for
+    /// operands with disjoint, level-separated supports each step copies
+    /// only the new operand, with the accumulator hung at its `⊥` leaf,
+    /// so the fold is linear in the size of the result.
     pub fn or_all<I: IntoIterator<Item = Bdd>>(&mut self, fs: I) -> Bdd {
+        let mut fs: Vec<Bdd> = fs.into_iter().collect();
+        self.sort_deepest_first(&mut fs);
         let mut acc = self.bot();
         for f in fs {
             acc = self.or(acc, f);
         }
         acc
+    }
+
+    /// Stably sorts `fs` by the level of each root, deepest first
+    /// (terminals, which sit below every level, lead). This is the fold
+    /// order of [`Manager::and_all`] and [`Manager::or_all`]; n-ary
+    /// operators built outside this crate (for example a threshold gate
+    /// built by dynamic programming over its operands) use it to get the
+    /// same linear behaviour.
+    pub fn sort_deepest_first(&self, fs: &mut [Bdd]) {
+        fs.sort_by_key(|&f| std::cmp::Reverse(self.level(f)));
     }
 
     /// Restriction (cofactor) `f[v ↦ value]`: Algorithm 5.20 of Ben-Ari.

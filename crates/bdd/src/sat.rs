@@ -177,16 +177,23 @@ impl Manager {
     ///
     /// Panics if the support of `f` is not contained in `vars`.
     pub fn sat_vectors<'a>(&'a self, f: Bdd, vars: &[Var]) -> SatVectors<'a> {
-        let support = self.support(f);
-        for v in &support {
+        // var id -> first position in `vars` (a repeated variable is
+        // fixed at its first position and left free at the others).
+        let width = vars.iter().map(|v| v.0 as usize + 1).max().unwrap_or(0);
+        let mut index = vec![None; width];
+        for (i, v) in vars.iter().enumerate() {
+            index[v.0 as usize].get_or_insert(i);
+        }
+        for v in self.support(f) {
             assert!(
-                vars.contains(v),
+                index.get(v.0 as usize).is_some_and(Option::is_some),
                 "support variable {v} missing from universe"
             );
         }
         SatVectors {
             paths: SatPaths::new(self, f),
-            vars: vars.to_vec(),
+            width: vars.len(),
+            index,
             current: None,
         }
     }
@@ -238,20 +245,53 @@ impl<'a> Iterator for SatPaths<'a> {
 /// Iterator over complete satisfying vectors (see
 /// [`Manager::sat_vectors`]). Yields one `Vec<bool>` per model, aligned
 /// with the variable universe passed at construction.
+///
+/// Each satisfying path is expanded over its don't-care positions like a
+/// binary counter whose least significant digit is the first free
+/// position, so any number of free variables works: only the vectors
+/// actually taken are ever built.
 #[derive(Debug)]
 pub struct SatVectors<'a> {
     paths: SatPaths<'a>,
-    vars: Vec<Var>,
-    /// Expansion state for the current path: fixed template plus the
-    /// indices of free (don't-care) positions and a counter.
+    /// Length of the universe (and of every yielded vector).
+    width: usize,
+    /// var id -> position in the universe (`None` outside it).
+    index: Vec<Option<usize>>,
+    /// Expansion state of the current path.
     current: Option<Expansion>,
 }
 
+/// An odometer over the free positions of one satisfying path.
 #[derive(Debug)]
 struct Expansion {
-    template: Vec<bool>,
+    /// The next vector to yield: fixed positions from the path, free
+    /// positions holding the odometer's digits.
+    next: Vec<bool>,
+    /// Positions the path leaves free, least significant digit first.
     free: Vec<usize>,
-    counter: u64,
+    /// Set once every digit has wrapped round: the path is used up.
+    done: bool,
+}
+
+impl Expansion {
+    /// Yields the current vector and advances the odometer by one.
+    fn step(&mut self) -> Option<Vec<bool>> {
+        if self.done {
+            return None;
+        }
+        let out = self.next.clone();
+        self.done = true;
+        for &i in &self.free {
+            if self.next[i] {
+                self.next[i] = false; // carry into the next digit
+            } else {
+                self.next[i] = true;
+                self.done = false;
+                break;
+            }
+        }
+        Some(out)
+    }
 }
 
 impl<'a> Iterator for SatVectors<'a> {
@@ -259,33 +299,23 @@ impl<'a> Iterator for SatVectors<'a> {
 
     fn next(&mut self) -> Option<Vec<bool>> {
         loop {
-            if let Some(exp) = &mut self.current {
-                let total = 1u64 << exp.free.len();
-                if exp.counter < total {
-                    let mut vec = exp.template.clone();
-                    for (bit, &idx) in exp.free.iter().enumerate() {
-                        vec[idx] = (exp.counter >> bit) & 1 == 1;
-                    }
-                    exp.counter += 1;
-                    return Some(vec);
-                }
-                self.current = None;
+            if let Some(vec) = self.current.as_mut().and_then(Expansion::step) {
+                return Some(vec);
             }
             let path = self.paths.next()?;
-            let mut template = vec![false; self.vars.len()];
-            let mut fixed = vec![false; self.vars.len()];
+            let mut next = vec![false; self.width];
+            let mut fixed = vec![false; self.width];
             for (v, val) in path {
-                if let Some(idx) = self.vars.iter().position(|&u| u == v) {
-                    template[idx] = val;
-                    fixed[idx] = true;
+                if let Some(&Some(i)) = self.index.get(v.0 as usize) {
+                    next[i] = val;
+                    fixed[i] = true;
                 }
             }
-            let free: Vec<usize> = (0..self.vars.len()).filter(|&i| !fixed[i]).collect();
-            assert!(free.len() < 63, "don't-care expansion too large");
+            let free = (0..self.width).filter(|&i| !fixed[i]).collect();
             self.current = Some(Expansion {
-                template,
+                next,
                 free,
-                counter: 0,
+                done: false,
             });
         }
     }
@@ -378,6 +408,115 @@ mod tests {
         let m = Manager::new(2);
         let vecs: Vec<Vec<bool>> = m.sat_vectors(m.top(), &[Var(0), Var(1)]).collect();
         assert_eq!(vecs.len(), 4);
+    }
+
+    /// The expansion `sat_vectors` used before the odometer: a `u64`
+    /// counter over the free positions, bit `i` driving `free[i]`.
+    fn counter_expansion(m: &Manager, f: Bdd, vars: &[Var]) -> Vec<Vec<bool>> {
+        let mut out = Vec::new();
+        for path in m.sat_paths(f) {
+            let mut template = vec![false; vars.len()];
+            let mut fixed = vec![false; vars.len()];
+            for (v, val) in path {
+                let i = vars.iter().position(|&u| u == v).unwrap();
+                template[i] = val;
+                fixed[i] = true;
+            }
+            let free: Vec<usize> = (0..vars.len()).filter(|&i| !fixed[i]).collect();
+            for counter in 0..1u64 << free.len() {
+                let mut vec = template.clone();
+                for (bit, &i) in free.iter().enumerate() {
+                    vec[i] = (counter >> bit) & 1 == 1;
+                }
+                out.push(vec);
+            }
+        }
+        out
+    }
+
+    /// A pseudo-random function over `n` variables, built from literals
+    /// with random `∧ ∨ ⊕` (a xorshift stream keeps it deterministic).
+    fn random_function(m: &mut Manager, n: u32, seed: u64) -> Bdd {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut f = m.var(Var((next() % u64::from(n)) as u32));
+        for _ in 0..6 {
+            let v = Var((next() % u64::from(n)) as u32);
+            let lit = if next() % 2 == 0 { m.var(v) } else { m.nvar(v) };
+            f = match next() % 3 {
+                0 => m.and(f, lit),
+                1 => m.or(f, lit),
+                _ => m.xor(f, lit),
+            };
+        }
+        f
+    }
+
+    #[test]
+    fn sat_vectors_match_counter_expansion_and_brute_force() {
+        let n = 5u32;
+        let mut m = Manager::new(n + 1);
+        // Universes in declaration order, permuted, and with an extra
+        // variable outside every support.
+        let universes: [Vec<Var>; 3] = [
+            (0..n).map(Var).collect(),
+            [3, 0, 4, 1, 2].into_iter().map(Var).collect(),
+            (0..=n).map(Var).collect(),
+        ];
+        for seed in 1..40u64 {
+            let f = random_function(&mut m, n, seed);
+            for vars in &universes {
+                let got: Vec<Vec<bool>> = m.sat_vectors(f, vars).collect();
+                assert_eq!(got, counter_expansion(&m, f, vars), "seed {seed}");
+                let mut sorted = got.clone();
+                sorted.sort();
+                let w = vars.len();
+                let brute: Vec<Vec<bool>> = (0..1usize << w)
+                    .map(|bits| (0..w).map(|i| (bits >> (w - 1 - i)) & 1 == 1).collect())
+                    .filter(|row: &Vec<bool>| {
+                        m.eval(f, |v| row[vars.iter().position(|&u| u == v).unwrap()])
+                    })
+                    .collect();
+                assert_eq!(sorted, brute, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn sat_vectors_expand_paths_with_many_free_variables() {
+        // 100-variable universe, support of two: 98 don't-cares per path,
+        // past any fixed-width counter.
+        let mut m = Manager::new(100);
+        let a = m.var(Var(10));
+        let b = m.var(Var(90));
+        let f = m.or(a, b);
+        let vars: Vec<Var> = (0..100).map(Var).collect();
+        let got: Vec<Vec<bool>> = m.sat_vectors(f, &vars).take(5).collect();
+        assert_eq!(got.len(), 5);
+        let distinct: HashSet<&Vec<bool>> = got.iter().collect();
+        assert_eq!(distinct.len(), 5);
+        for v in &got {
+            assert_eq!(v.len(), 100);
+            assert!(m.eval(f, |x| v[x.0 as usize]));
+        }
+        // Same on the constant-true function: every position is free.
+        let all: Vec<Vec<bool>> = m.sat_vectors(m.top(), &vars).take(5).collect();
+        assert_eq!(all.len(), 5);
+        assert_eq!(all.iter().collect::<HashSet<_>>().len(), 5);
+    }
+
+    #[test]
+    fn sat_vectors_repeated_universe_variable_is_free_after_first() {
+        let mut m = Manager::new(2);
+        let a = m.var(Var(0));
+        let got: Vec<Vec<bool>> = m.sat_vectors(a, &[Var(0), Var(0)]).collect();
+        assert_eq!(got, counter_expansion(&m, a, &[Var(0), Var(0)]));
+        assert_eq!(got, vec![vec![true, false], vec![true, true]]);
     }
 
     #[test]

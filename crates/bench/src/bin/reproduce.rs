@@ -32,8 +32,9 @@
 //! construction at 1..=4 workers, cross-checks that every diagram is
 //! node-for-node identical with bit-identical verdicts and top-event
 //! probabilities, and writes `BENCH_scale.json` (nodes/sec and
-//! speedup-vs-workers curves plus stitch overhead); `--smoke` restricts
-//! all six to small configurations for CI.
+//! speedup-vs-workers curves plus stitch overhead, and the sequential
+//! arena's dead-per-live node ratio, which must stay at most 0.5);
+//! `--smoke` restricts all six to small configurations for CI.
 
 // A reproduction harness, not a library: every `expect` is an assertion
 // that the paper's artifact can be rebuilt — failing loudly with the
@@ -1428,9 +1429,14 @@ fn reorder(smoke: bool) {
 /// Every parallel compile is cross-checked against the sequential one:
 /// node-for-node identical diagrams for every element, bit-identical
 /// verdicts on sampled status vectors and bit-identical top-event
-/// probability. Writes the `BENCH_scale.json` artifact.
+/// probability. The sequential compile must leave at most
+/// `MAX_DEAD_PER_LIVE` dead arena nodes per live one. Writes the
+/// `BENCH_scale.json` artifact.
 fn scale_bench(smoke: bool) {
     use bfl_fault_tree::prob;
+    /// Bound on the dead-to-live node ratio a sequential compile may
+    /// leave behind; a linear compile stays well below it.
+    const MAX_DEAD_PER_LIVE: f64 = 0.5;
 
     banner("SCALE — industrial corpus: modular parallel BDD construction");
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -1453,12 +1459,23 @@ fn scale_bench(smoke: bool) {
         let top_seq = seq.element_bdd(tree, tree.top());
         let t_seq = t0.elapsed();
         let live_seq = seq.live_node_count(&[]);
+        // Dead nodes the compile left in the arena, per live one: the
+        // deterministic witness of the fold order (a fold that re-copies
+        // its accumulator leaves one dead copy per operand).
+        let arena_seq = seq.manager().arena_size();
+        let dead_per_live = (arena_seq - live_seq) as f64 / live_seq as f64;
         let p_seq = prob::bdd_probability(tree, &seq, top_seq, &probs).expect("probability");
         let nodes_per_sec = live_seq as f64 / t_seq.as_secs_f64().max(1e-9);
         println!(
-            "\ntree scaled-{n}: {} elements, {} live nodes, P(top) = {p_seq:.6e}",
+            "\ntree scaled-{n}: {} elements, {} live nodes, {arena_seq} arena nodes \
+             ({dead_per_live:.2} dead per live), P(top) = {p_seq:.6e}",
             tree.len(),
             live_seq
+        );
+        assert!(
+            dead_per_live <= MAX_DEAD_PER_LIVE,
+            "scaled-{n}: sequential compile left {dead_per_live:.2} dead nodes per live one \
+             (at most {MAX_DEAD_PER_LIVE})"
         );
         println!(
             "{:<10} {:>10} {:>10} {:>9} {:>8} {:>9}",
@@ -1564,6 +1581,7 @@ fn scale_bench(smoke: bool) {
         rows.push_str(&format!(
             "{{\"tree\":\"scaled-{n}\",\"basic_events\":{n},\"elements\":{},\
              \"modules\":{modules_detected},\"live_nodes\":{live_seq},\
+             \"arena_nodes\":{arena_seq},\"dead_per_live\":{dead_per_live:.3},\
              \"probability\":{p_seq:e},\"seq_ms\":{:.3},\
              \"seq_nodes_per_sec\":{nodes_per_sec:.0},\
              \"speedup_at_{max_workers}_workers\":{speedup_at_max:.3},\

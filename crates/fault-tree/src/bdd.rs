@@ -78,6 +78,8 @@ pub struct TreeBdd {
     order: Vec<ElementId>,
     /// basic index -> ordering position.
     position: Vec<usize>,
+    /// ordering position -> basic index (inverse of `position`).
+    basic_at: Vec<usize>,
     /// element index -> translated BDD (lazily filled).
     cache: HashMap<u32, Bdd>,
     /// Identity check: number of elements of the tree this was built for.
@@ -110,11 +112,16 @@ impl TreeBdd {
             position.iter().all(|&p| p != usize::MAX),
             "incomplete order"
         );
+        let mut basic_at = vec![0; position.len()];
+        for (bi, &pos) in position.iter().enumerate() {
+            basic_at[pos] = bi;
+        }
         let manager = Manager::new(2 * order.len() as u32);
         TreeBdd {
             manager,
             order,
             position,
+            basic_at,
             cache: HashMap::new(),
             tree_len: tree.len(),
         }
@@ -152,14 +159,7 @@ impl TreeBdd {
         if !v.index().is_multiple_of(2) {
             return None;
         }
-        let pos = (v.index() / 2) as usize;
-        self.order.get(pos).map(|&_e| {
-            // position -> basic index: invert `position`.
-            self.position
-                .iter()
-                .position(|&p| p == pos)
-                .unwrap_or_else(|| unreachable!("bijection"))
-        })
+        self.basic_at.get((v.index() / 2) as usize).copied()
     }
 
     /// All unprimed variables, in order.
@@ -523,6 +523,15 @@ impl TreeBdd {
 /// "At least `k` of `children` hold", built by dynamic programming over
 /// Shannon expansions — size `O(k · Σ|child|)` instead of the exponential
 /// subset expansion of Definition 6.
+///
+/// The children are taken deepest first, in the order of
+/// [`Manager::sort_deepest_first`] (the fold order of
+/// [`Manager::and_all`] and [`Manager::or_all`]). Each step computes
+/// `ite(c, row[j-1], row[j])` over rows built from the children already
+/// taken; when those sit below `c` — children with disjoint,
+/// level-separated supports — the step walks only `c`, so the whole
+/// threshold costs `O(k · Σ|child|)` operations rather than re-walking
+/// the rows for every child. The function does not depend on the order.
 pub fn vot_threshold(m: &mut Manager, children: &[Bdd], k: u32) -> Bdd {
     let k = k as usize;
     if k == 0 {
@@ -531,10 +540,12 @@ pub fn vot_threshold(m: &mut Manager, children: &[Bdd], k: u32) -> Bdd {
     if k > children.len() {
         return m.bot();
     }
+    let mut children = children.to_vec();
+    m.sort_deepest_first(&mut children);
     // row[j] = "at least j of the children seen so far" (j in 0..=k).
     let mut row = vec![m.bot(); k + 1];
     row[0] = m.top();
-    for &c in children {
+    for c in children {
         for j in (1..=k).rev() {
             let take = m.ite(c, row[j - 1], row[j]);
             row[j] = take;

@@ -208,12 +208,24 @@ fn full_queue_answers_busy_instead_of_buffering() {
         bfl_core::report::json_str(&plan),
         bfl_core::report::json_str(&scenarios)
     );
-    // Pipeline: the sweep occupies the worker, then a burst of stats
-    // requests — the first fills the queue slot, the rest must bounce.
+    // The sweep occupies the worker, then a burst of stats requests —
+    // the first fills the queue slot, the rest must bounce. The burst
+    // has to arrive after the worker took the sweep off the queue and
+    // before the sweep ends: written back to back, the shard could parse
+    // the burst while the sweep still held the only slot, and every
+    // stats bounced. So time one sweep alone first (which also scales
+    // the wait to the build profile), and send the burst half-way
+    // through the measured sweep.
     let burst: String = (2..8)
         .map(|i| format!("{{\"id\":{i},\"op\":\"stats\"}}\n"))
         .collect();
+    let started = std::time::Instant::now();
+    let alone = setup.round_trip(sweep.trim_end()).expect("sweeps");
+    assert!(Response::parse(&alone).expect("parses").is_ok(), "{alone}");
+    let sweep_time = started.elapsed();
     stream.write_all(sweep.as_bytes()).expect("write");
+    stream.flush().expect("flush");
+    std::thread::sleep(sweep_time / 2);
     stream.write_all(burst.as_bytes()).expect("write");
     stream.flush().expect("flush");
 

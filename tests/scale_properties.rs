@@ -16,14 +16,20 @@
 //! * **idempotent maintenance** — after a parallel compile and stitch,
 //!   a second GC collects nothing and a second sift changes nothing;
 //! * **engine surface** — `SessionBuilder::parallelism(n)` threads the
-//!   construction report through to `Plan::explain()`.
+//!   construction report through to `Plan::explain()`;
+//! * **linear sequential compile** — deepest-first gate folds leave
+//!   almost no dead nodes in the arena, and return the same handle as a
+//!   plain left fold over any operand order;
+//! * **witnesses at scale** — `exists top` on a 1000-event tree yields
+//!   witness vectors that satisfy the top event.
 
 // Test-support helpers outside `#[test]` fns: panicking is the
 // correct failure mode here, same as in the tests themselves.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+use bfl_bdd::{Bdd, Manager};
 use bfl_core::engine::AnalysisSession;
 use bfl_core::{parser, Scenario};
-use bfl_fault_tree::bdd::TreeBdd;
+use bfl_fault_tree::bdd::{vot_threshold, TreeBdd};
 use bfl_fault_tree::rng::Prng;
 use bfl_fault_tree::{corpus, modules, prob};
 use bfl_fault_tree::{FaultTreeBuilder, GateType, StatusVector, VariableOrdering};
@@ -212,9 +218,9 @@ fn session_parallelism_reports_construction_in_plans() {
         "plan JSON must inline the construction report: {json}"
     );
 
-    // The parallel session answers bit-identically to a default one —
-    // compared through the probability channel, which walks the shared
-    // diagram without enumerating witnesses (infeasible at 1000 events).
+    // The parallel session answers bit-identically to a default one,
+    // compared through the probability channel, which walks the whole
+    // shared diagram.
     let sequential = AnalysisSession::builder()
         .probabilities(probs)
         .build(model.tree);
@@ -246,4 +252,95 @@ fn session_parallelism_reports_construction_in_plans() {
     let stats = maintained.maintenance_stats();
     assert!(stats.audits_run >= 1);
     assert_eq!(stats.audit_violations, 0, "stitched arena must audit clean");
+}
+
+#[test]
+fn sequential_compile_leaves_few_dead_nodes_at_10k() {
+    // A fold that puts each new operand below its accumulator copies the
+    // accumulator at every step; at 10k events that left ~22 dead nodes
+    // per live one. Deepest-first folds copy each operand once.
+    let tree = corpus::scaled(10_000);
+    let mut tb = TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
+    let _ = tb.element_bdd(&tree, tree.top());
+    let arena = tb.manager().arena_size();
+    let live = tb.live_node_count(&[]);
+    assert!(
+        arena as f64 <= 1.25 * live as f64,
+        "arena holds {arena} nodes for {live} live ones"
+    );
+    let report = tb.manager().audit();
+    assert!(report.is_ok(), "arena after a 10k compile: {report}");
+}
+
+/// Fisher–Yates shuffle driven by the in-tree SplitMix64.
+fn shuffle(rng: &mut Prng, xs: &mut [Bdd]) {
+    for i in (1..xs.len()).rev() {
+        xs.swap(i, rng.gen_range(0..=i));
+    }
+}
+
+/// "At least `k` of `fs`" by the threshold recurrence, taking the
+/// operands in the order given.
+fn vot_in_given_order(m: &mut Manager, fs: &[Bdd], k: usize) -> Bdd {
+    if k == 0 {
+        return m.top();
+    }
+    if k > fs.len() {
+        return m.bot();
+    }
+    let mut row = vec![m.bot(); k + 1];
+    row[0] = m.top();
+    for &f in fs {
+        for j in (1..=k).rev() {
+            row[j] = m.ite(f, row[j - 1], row[j]);
+        }
+    }
+    row[k]
+}
+
+#[test]
+fn n_ary_folds_equal_a_left_fold_in_any_operand_order() {
+    // Operands are element diagrams of a module-rich tree: disjoint
+    // module cones, nested gates with overlapping support, and literals.
+    let tree = corpus::scaled(400);
+    let mut tb = TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
+    let pool: Vec<Bdd> = tree.iter().map(|e| tb.element_bdd(&tree, e)).collect();
+    let m = tb.manager_mut();
+    let mut rng = Prng::seed_from_u64(0xF01D);
+    for round in 0..60 {
+        let len = rng.gen_range(0..12);
+        let mut ops: Vec<Bdd> = (0..len)
+            .map(|_| pool[rng.gen_range(0..pool.len())])
+            .collect();
+        shuffle(&mut rng, &mut ops);
+        let and_left = ops.iter().fold(m.top(), |acc, &f| m.and(acc, f));
+        let or_left = ops.iter().fold(m.bot(), |acc, &f| m.or(acc, f));
+        assert_eq!(m.and_all(ops.iter().copied()), and_left, "round {round}");
+        assert_eq!(m.or_all(ops.iter().copied()), or_left, "round {round}");
+        let k = rng.gen_range(0..=len + 1);
+        let vot_left = vot_in_given_order(m, &ops, k);
+        assert_eq!(
+            vot_threshold(m, &ops, k as u32),
+            vot_left,
+            "round {round}, k = {k}"
+        );
+    }
+    let report = tb.manager().audit();
+    assert!(report.is_ok(), "arena after shuffled folds: {report}");
+}
+
+#[test]
+fn exists_top_returns_witnesses_at_1000_events() {
+    // Every satisfying path of the top event leaves hundreds of events
+    // free; witness expansion must not depend on how many.
+    let tree = corpus::scaled(1_000);
+    let session = AnalysisSession::new(tree.clone());
+    let outcome = session
+        .check_query(&parser::parse_query("exists top").unwrap())
+        .unwrap();
+    assert!(outcome.holds);
+    assert!(!outcome.witnesses.is_empty());
+    for w in &outcome.witnesses {
+        assert!(tree.evaluate(w, tree.top()), "witness {w} misses the top");
+    }
 }
